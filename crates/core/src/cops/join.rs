@@ -100,25 +100,17 @@ impl SideState {
         }
     }
 
-    /// Segments overlapping `span` (the Scan variant reproduces the naive
-    /// full-buffer walk, including the comparisons against non-overlapping
-    /// state that the index avoids; the Keyed variant additionally skips
-    /// every other key's segments).
-    fn candidates(&self, key: u64, span: pulse_math::Span, scanned: &mut u64) -> Vec<&Segment> {
+    /// State segments that may overlap `span`, in start order, and
+    /// whether the walk compares every one of them (the Scan variant
+    /// reproduces the naive full-buffer walk, including the comparisons
+    /// against non-overlapping state that the index avoids; the Keyed
+    /// variant additionally skips every other key's segments).
+    fn candidates(&self, key: u64, span: pulse_math::Span) -> (&[Segment], bool) {
         match self {
-            SideState::Scan(v) => {
-                *scanned += v.len() as u64;
-                v.iter().filter(|s| s.span.overlaps(&span)).collect()
-            }
-            SideState::Indexed(idx) => {
-                let hits = idx.overlapping(span);
-                *scanned += hits.len() as u64;
-                hits
-            }
+            SideState::Scan(v) => (v, true),
+            SideState::Indexed(idx) => (idx.candidates(span), false),
             SideState::Keyed(k) => {
-                let hits = k.map.get(&key).map(|idx| idx.overlapping(span)).unwrap_or_default();
-                *scanned += hits.len() as u64;
-                hits
+                (k.map.get(&key).map_or(&[][..], |idx| idx.candidates(span)), false)
             }
         }
     }
@@ -194,30 +186,42 @@ impl COperator for CJoin {
         tr: &mut Tracer,
         out: &mut Vec<Segment>,
     ) {
-        self.m.items_in += 1;
-        self.lineage.lock().register(seg);
+        let CJoin {
+            window,
+            template,
+            on_keys,
+            bindings: [lb, rb],
+            left,
+            right,
+            lineage,
+            slack,
+            scratch,
+            m,
+            ..
+        } = self;
+        m.items_in += 1;
         let now = seg.span.lo;
-        self.left.expire(seg.key, now - self.window);
-        self.right.expire(seg.key, now - self.window);
+        left.expire(seg.key, now - *window);
+        right.expire(seg.key, now - *window);
         let from_left = input == 0;
-        let opposite = if from_left { &self.right } else { &self.left };
+        let opposite = if from_left { &*right } else { &*left };
 
         let mut any_overlap = false;
         let mut worst_slack: Option<f64> = None;
-        let mut scanned = 0;
+        let (candidates, scan_all) = opposite.candidates(seg.key, seg.span);
+        let mut hits = 0u64;
         let mut trace_rows = 0u64;
         let mut trace_outputs = 0u32;
-        for opp in opposite.candidates(seg.key, seg.span, &mut scanned) {
+        for opp in candidates.iter().filter(|s| s.span.overlaps(&seg.span)) {
+            hits += 1;
             let (l, r) = if from_left { (seg, opp) } else { (opp, seg) };
-            if !self.on_keys.test(l.key, r.key) {
+            if !on_keys.test(l.key, r.key) {
                 continue;
             }
             let Some(overlap) = l.span.intersect(&r.span) else { continue };
             any_overlap = true;
-            let lb = &self.bindings[0];
-            let rb = &self.bindings[1];
             let t0 = prof::start();
-            let sys = match self.template.substitute_into(|inp, attr, slot| {
+            let sys = match template.substitute_into(|inp, attr, slot| {
                 if inp == 0 {
                     lb.poly_into(l, attr, slot)
                 } else {
@@ -231,44 +235,41 @@ impl COperator for CJoin {
             let t0 = prof::start();
             let nested0 = t0.map(|_| Phase::solve_nested_ns(tr.phases()));
             let mut rows = 0;
-            let sol = sys.solve_with(overlap, &mut rows, &mut self.scratch, tr);
+            let sol = sys.solve_with(overlap, &mut rows, scratch, tr);
             if let (Some(t0), Some(n0)) = (t0, nested0) {
                 let nested = Phase::solve_nested_ns(tr.phases()).saturating_sub(n0);
                 let total = t0.elapsed().as_nanos() as u64;
                 tr.phases_mut().record(Phase::RootIsolate, total.saturating_sub(nested));
             }
-            self.m.systems_solved += 1;
-            self.m.comparisons += rows;
+            m.systems_solved += 1;
+            m.comparisons += rows;
             trace_rows += rows;
             if sol.is_empty() {
-                let s = sys.slack_with(overlap, &mut self.scratch);
+                let s = sys.slack_with(overlap, scratch);
                 worst_slack = Some(worst_slack.map_or(s, |w: f64| w.min(s)));
                 continue;
             }
-            let mut models = l.models.clone();
-            models.extend_from_slice(&r.models);
-            let mut unmodeled = l.unmodeled.clone();
-            unmodeled.extend_from_slice(&r.unmodeled);
-            let key = self.on_keys.output_key(l.key, r.key);
-            let mut lineage = self.lineage.lock();
+            let key = on_keys.output_key(l.key, r.key);
             for span in meaningful_spans(&sol) {
-                let joined = Segment::new(key, span, models.clone(), unmodeled.clone());
-                lineage.emit(&joined, &[l.id, r.id]);
-                self.m.items_out += 1;
+                let models = [&l.models[..], &r.models[..]].concat();
+                let unmodeled = [&l.unmodeled[..], &r.unmodeled[..]].concat();
+                let joined = Segment::new(key, span, models, unmodeled);
+                lineage.lock().emit(&joined, &[l.id, r.id]);
+                m.items_out += 1;
                 trace_outputs += 1;
                 out.push(joined);
             }
         }
-        self.m.comparisons += scanned;
+        m.comparisons += if scan_all { candidates.len() as u64 } else { hits };
         if tr.on() && any_overlap {
             let kind = TraceKind::OpSolve { op: "join", rows: trace_rows, outputs: trace_outputs };
             tr.emit_scoped(seg.key, now, kind);
         }
-        self.slack = if any_overlap { worst_slack } else { None };
+        *slack = if any_overlap { worst_slack } else { None };
         if from_left {
-            self.left.push(seg.clone());
+            left.push(seg.clone());
         } else {
-            self.right.push(seg.clone());
+            right.push(seg.clone());
         }
     }
 

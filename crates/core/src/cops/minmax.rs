@@ -87,9 +87,8 @@ impl COperator for CMinMax {
         out: &mut Vec<Segment>,
     ) {
         self.m.items_in += 1;
-        self.lineage.lock().register(seg);
         self.envelope.expire_before(seg.span.lo - self.width);
-        let x = seg.models[self.slot].clone();
+        let x = &seg.models[self.slot];
         let domain = seg.span;
         let better_op = if self.is_min { CmpOp::Lt } else { CmpOp::Gt };
 

@@ -29,7 +29,43 @@ struct HistEntry {
     /// Antiderivative, cached on arrival ("we compute and cache the segment
     /// integral C, in addition to a function for the tail integral").
     anti: Poly,
+    /// `anti` at the span ends, cached on arrival and on truncation; their
+    /// difference is the segment integral C.
+    anti_lo: f64,
+    anti_hi: f64,
     id: SegmentId,
+}
+
+impl HistEntry {
+    fn new(span: Span, anti: Poly, id: SegmentId) -> Self {
+        HistEntry { anti_lo: anti.eval(span.lo), anti_hi: anti.eval(span.hi), span, anti, id }
+    }
+
+    /// Cuts the entry back to end at `hi` (update semantics).
+    fn truncate(&mut self, hi: f64) {
+        self.span = Span::new(self.span.lo, hi);
+        self.anti_hi = self.anti.eval(self.span.hi);
+    }
+
+    fn integral(&self) -> f64 {
+        self.anti_hi - self.anti_lo
+    }
+}
+
+/// Buffers reused by every arrival, so assembling a window function
+/// allocates nothing but the emitted polynomial.
+#[derive(Default)]
+struct WfScratch {
+    /// Window-function breakpoints of the current arrival.
+    cuts: Vec<f64>,
+    /// Contributing segment ids of the window function being built.
+    parents: Vec<SegmentId>,
+    /// The window function under assembly.
+    wf: Poly,
+    /// `anti(t − w)`, the binomial expansion of the tail.
+    shifted: Poly,
+    /// The head integral `A_head(t) − A_head(tl)`.
+    head: Poly,
 }
 
 /// Continuous sum/avg aggregate over one modeled attribute (one group).
@@ -38,14 +74,16 @@ pub struct CSumAvg {
     slot: usize,
     width: f64,
     history: Vec<HistEntry>,
-    /// `prefix[i]` = Σ_{j ≤ i} ∫ history[j] over its span (rebuilt per
-    /// arrival; O(1) covered-segment constants per window function).
+    /// `prefix[i]` = Σ_{j ≤ i} ∫ history[j] over its span (extended per
+    /// arrival from the cached integrals; O(1) covered-segment constants
+    /// per window function).
     prefix: Vec<f64>,
     /// Contiguous-run id per entry: `group[i] == group[j]` iff the pieces
     /// between i and j tile time without a gap (O(1) coverage checks).
     group: Vec<usize>,
     start: Option<f64>,
     emitted_until: f64,
+    scratch: WfScratch,
     lineage: SharedLineage,
     m: OpMetrics,
 }
@@ -61,57 +99,68 @@ impl CSumAvg {
             group: Vec::new(),
             start: None,
             emitted_until: f64::NEG_INFINITY,
+            scratch: WfScratch::default(),
             lineage,
             m: OpMetrics::default(),
         }
     }
 
     /// Builds the window function for closes in `[a, b)` with the covering
-    /// set fixed, or `None` on a coverage gap. Returns the polynomial and
-    /// the contributing segment ids.
-    fn window_fn(&self, a: f64, b: f64) -> Option<(Poly, Vec<SegmentId>)> {
+    /// set fixed into `scratch.wf`, and its contributing segment ids into
+    /// `scratch.parents`. False on a coverage gap.
+    fn window_fn(&mut self, a: f64, b: f64) -> bool {
+        let CSumAvg { history, prefix, group, scratch, width, .. } = self;
+        let width = *width;
         let mid = 0.5 * (a + b);
         // History is sorted by span start: binary-search the covering piece.
         let locate = |t: f64| -> Option<usize> {
-            let i = self.history.partition_point(|h| h.span.lo <= t + EPS).checked_sub(1)?;
-            let h = &self.history[i];
+            let i = history.partition_point(|h| h.span.lo <= t + EPS).checked_sub(1)?;
+            let h = &history[i];
             (h.span.contains(t) || (t - h.span.lo).abs() <= EPS).then_some(i)
         };
-        let head_idx = locate(mid)?;
-        let tail_time = mid - self.width;
-        let tail_idx = locate(tail_time)?;
-        let head = &self.history[head_idx];
-        let tail = &self.history[tail_idx];
+        let Some(head_idx) = locate(mid) else { return false };
+        let tail_time = mid - width;
+        let Some(tail_idx) = locate(tail_time) else { return false };
+        let head = &history[head_idx];
+        let tail = &history[tail_idx];
+        scratch.parents.clear();
         if head_idx == tail_idx {
             // Entire window inside one segment: wf(t) = A(t) − A(t−w).
-            let wf = head.anti.sub(&head.anti.compose_linear(1.0, -self.width));
-            return Some((wf, vec![head.id]));
+            head.anti.compose_linear_into(1.0, -width, &mut scratch.shifted);
+            scratch.wf.copy_from(&head.anti);
+            scratch.wf.sub_assign_poly(&scratch.shifted);
+            scratch.parents.push(head.id);
+            return true;
         }
         // Coverage gap anywhere between tail and head → no window function.
-        if self.group[tail_idx] != self.group[head_idx] {
-            return None;
+        if group[tail_idx] != group[head_idx] {
+            return false;
         }
         // tail(t) = A_tail(tu) − A_tail(t − w): binomial expansion of (t−w)^i.
-        let tail_part = Poly::constant(tail.anti.eval(tail.span.hi))
-            .sub(&tail.anti.compose_linear(1.0, -self.width));
+        tail.anti.compose_linear_into(1.0, -width, &mut scratch.shifted);
+        scratch.wf.set_constant(tail.anti_hi);
+        scratch.wf.sub_assign_poly(&scratch.shifted);
         // C: cached integrals of the fully covered segments, via prefix
-        // sums rebuilt once per arrival (O(1) per window function).
+        // sums kept current per arrival (O(1) per window function).
         let mut c = 0.0;
         if head_idx > tail_idx + 1 {
-            c = self.prefix[head_idx - 1] - self.prefix[tail_idx];
+            c = prefix[head_idx - 1] - prefix[tail_idx];
         }
         // head(t) = A_head(t) − A_head(tl_head).
-        let head_part = head.anti.sub(&Poly::constant(head.anti.eval(head.span.lo)));
+        scratch.head.copy_from(&head.anti);
+        scratch.head.sub_const_assign(head.anti_lo);
         // Lineage fan-in is capped: the tail and head (which shape the
         // polynomial) always recorded, covered segments only when few —
         // allocations stay conservative either way (each share ≤ bound).
-        let mut parents = vec![tail.id];
+        scratch.parents.push(tail.id);
         if head_idx - tail_idx <= 16 {
-            parents.extend(self.history[tail_idx + 1..head_idx].iter().map(|h| h.id));
+            scratch.parents.extend(history[tail_idx + 1..head_idx].iter().map(|h| h.id));
         }
-        parents.push(head.id);
-        let wf = tail_part.add(&Poly::constant(c)).add(&head_part);
-        Some((wf, parents))
+        scratch.parents.push(head.id);
+        // wf = tail + C + head.
+        scratch.wf.add_const_assign(c);
+        scratch.wf.add_assign_poly(&scratch.head);
+        true
     }
 }
 
@@ -128,15 +177,17 @@ impl COperator for CSumAvg {
         out: &mut Vec<Segment>,
     ) {
         self.m.items_in += 1;
-        self.lineage.lock().register(seg);
-        let x = seg.models[self.slot].clone();
         let mut span = seg.span;
+        // First history entry whose cached integral changes with this
+        // arrival; prefix sums are extended from there.
+        let mut dirty = self.history.len();
         // Update semantics: a successor overlapping the predecessor
         // truncates it for the overlap.
         if let Some(last) = self.history.last_mut() {
             if span.lo < last.span.hi - EPS {
+                dirty -= 1;
                 if span.lo > last.span.lo + EPS {
-                    last.span = Span::new(last.span.lo, span.lo);
+                    last.truncate(span.lo);
                 } else {
                     self.history.pop();
                 }
@@ -145,8 +196,9 @@ impl COperator for CSumAvg {
             }
         }
         self.start.get_or_insert(span.lo);
-        self.history.push(HistEntry { span, anti: x.antiderivative(), id: seg.id });
-        self.rebuild_prefix();
+        let anti = seg.models[self.slot].antiderivative();
+        self.history.push(HistEntry::new(span, anti, seg.id));
+        self.rebuild_prefix_from(dirty);
 
         // Emit window functions for closes within this segment's lifespan
         // that have full window coverage and weren't already emitted.
@@ -158,7 +210,9 @@ impl COperator for CSumAvg {
         }
         // Breakpoints: covering set changes when the window tail crosses a
         // history boundary.
-        let mut cuts = vec![emit_lo, span.hi];
+        let mut cuts = std::mem::take(&mut self.scratch.cuts);
+        cuts.clear();
+        cuts.extend([emit_lo, span.hi]);
         for h in &self.history {
             for t in [h.span.lo + self.width, h.span.hi + self.width] {
                 if t > emit_lo + EPS && t < span.hi - EPS {
@@ -166,9 +220,8 @@ impl COperator for CSumAvg {
                 }
             }
         }
-        cuts.sort_by(|a, b| a.partial_cmp(b).unwrap());
+        cuts.sort_by(f64::total_cmp);
         cuts.dedup_by(|a, b| (*a - *b).abs() < EPS);
-        let mut lineage = self.lineage.lock();
         let mut built = 0u64;
         let mut emitted = 0u32;
         for w in cuts.windows(2) {
@@ -176,19 +229,21 @@ impl COperator for CSumAvg {
             if b - a <= EPS {
                 continue;
             }
-            let Some((mut wf, parents)) = self.window_fn(a, b) else { continue };
+            if !self.window_fn(a, b) {
+                continue;
+            }
             self.m.systems_solved += 1;
             built += 1;
             if self.avg {
-                wf = wf.scale(1.0 / self.width);
+                self.scratch.wf.scale_assign(1.0 / self.width);
             }
-            let piece = Segment::single(seg.key, Span::new(a, b), wf);
-            lineage.emit(&piece, &parents);
+            let piece = Segment::single(seg.key, Span::new(a, b), self.scratch.wf.clone());
+            self.lineage.lock().emit(&piece, &self.scratch.parents);
             self.m.items_out += 1;
             emitted += 1;
             out.push(piece);
         }
-        drop(lineage);
+        self.scratch.cuts = cuts;
         if tr.on() && built > 0 {
             // `rows` = window functions assembled for this arrival.
             let kind = TraceKind::OpSolve { op: "sumavg", rows: built, outputs: emitted };
@@ -212,20 +267,25 @@ impl CSumAvg {
         let before = self.history.len();
         self.history.retain(|h| h.span.hi > now - self.width - EPS);
         if self.history.len() != before {
-            self.rebuild_prefix();
+            self.rebuild_prefix_from(0);
         }
     }
 
-    fn rebuild_prefix(&mut self) {
-        self.prefix.clear();
-        self.group.clear();
-        let mut acc = 0.0;
-        let mut group = 0usize;
-        for (i, h) in self.history.iter().enumerate() {
+    /// Recomputes `prefix` and `group` for `history[from..]`, keeping the
+    /// entries before `from` (the accumulation order is the same as a
+    /// full rebuild, so the sums are too).
+    fn rebuild_prefix_from(&mut self, from: usize) {
+        let from = from.min(self.prefix.len());
+        self.prefix.truncate(from);
+        self.group.truncate(from);
+        let mut acc = from.checked_sub(1).map_or(0.0, |i| self.prefix[i]);
+        let mut group = from.checked_sub(1).map_or(0, |i| self.group[i]);
+        for i in from..self.history.len() {
+            let h = &self.history[i];
             if i > 0 && (self.history[i - 1].span.hi - h.span.lo).abs() > 1e-6 {
                 group += 1;
             }
-            acc += h.anti.eval(h.span.hi) - h.anti.eval(h.span.lo);
+            acc += h.integral();
             self.prefix.push(acc);
             self.group.push(group);
         }

@@ -69,20 +69,18 @@ impl SegmentIndex {
 
     /// All segments whose spans overlap `q`, in start order.
     pub fn overlapping(&self, q: Span) -> Vec<&Segment> {
-        let mut out = Vec::new();
-        // Candidates start before q.hi.
+        self.candidates(q).iter().filter(|e| e.span.overlaps(&q)).collect()
+    }
+
+    /// The run of segments that may overlap `q`, in start order: those
+    /// starting before `q.hi`, minus the prefix whose running maximum end
+    /// cannot reach `q.lo`. Filtering it by `overlaps(q)` gives
+    /// [`Self::overlapping`] without collecting.
+    pub(crate) fn candidates(&self, q: Span) -> &[Segment] {
         let end = self.entries.partition_point(|e| e.span.lo < q.hi - EPS);
-        // Walk backwards; prune once even the running max end can't reach q.lo.
-        for i in (0..end).rev() {
-            if self.max_hi[i] <= q.lo + EPS {
-                break;
-            }
-            if self.entries[i].span.overlaps(&q) {
-                out.push(&self.entries[i]);
-            }
-        }
-        out.reverse();
-        out
+        // `max_hi` never decreases, so the pruned prefix is a partition.
+        let start = self.max_hi[..end].partition_point(|&m| m <= q.lo + EPS);
+        &self.entries[start..end]
     }
 
     /// Segments containing the time instant `t`.

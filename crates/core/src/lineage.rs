@@ -30,7 +30,9 @@ pub struct LineageStore {
 }
 
 impl LineageStore {
-    /// Snapshots a segment (inputs and outputs alike).
+    /// Snapshots a segment. A plan snapshots each pushed source segment
+    /// once, and an operator snapshots only what it emits (via
+    /// [`Self::emit`]), so every segment is copied in here once.
     pub fn register(&mut self, seg: &Segment) {
         self.snapshots.insert(seg.id, seg.clone());
     }
@@ -81,9 +83,9 @@ impl LineageStore {
 
     /// Drops lineage for segments entirely before `t` (state bounding).
     pub fn gc_before(&mut self, t: f64) {
-        self.snapshots.retain(|_, s| s.span.hi >= t);
-        let live: std::collections::HashSet<SegmentId> = self.snapshots.keys().copied().collect();
-        self.parents.retain(|id, _| live.contains(id));
+        let LineageStore { parents, snapshots } = self;
+        snapshots.retain(|_, s| s.span.hi >= t);
+        parents.retain(|id, _| snapshots.contains_key(id));
     }
 
     /// Number of snapshots held (for memory accounting in experiments).

@@ -53,6 +53,22 @@ pub struct CPlan {
     source_edges: Vec<Vec<Consumer>>,
     sinks: Vec<bool>,
     lineage: SharedLineage,
+    /// Push arenas, kept across pushes so a warm push reuses their
+    /// allocations (boxed: a plan is embedded by value in the drivers).
+    arena: Box<PushArena>,
+}
+
+/// Per-push working state of [`CPlan::push_traced`]; empty between pushes.
+#[derive(Default)]
+struct PushArena {
+    /// Every segment produced by the push so far.
+    produced: Vec<Segment>,
+    /// Whether `produced[i]` is a query result.
+    is_result: Vec<bool>,
+    /// Pending `(node, port, produced index)` deliveries.
+    queue: Vec<(usize, usize, usize)>,
+    /// Output buffer handed to each operator call.
+    out: Vec<Segment>,
 }
 
 impl CPlan {
@@ -123,7 +139,7 @@ impl CPlan {
         for s in logical.sinks() {
             sinks[s] = true;
         }
-        Ok(CPlan { nodes, node_edges, source_edges, sinks, lineage: store })
+        Ok(CPlan { nodes, node_edges, source_edges, sinks, lineage: store, arena: Box::default() })
     }
 
     /// Sentinel index standing for the pushed source segment in the
@@ -139,33 +155,32 @@ impl CPlan {
     /// Pushes one segment from source `source`, returning query outputs;
     /// operators stamp their equation-system work into `tr` as they go.
     ///
-    /// Produced segments live in one arena; the work queue and fan-out
-    /// edges carry indices into it, so a segment consumed by several
-    /// operators (or kept as a result *and* consumed downstream) is never
-    /// cloned.
+    /// The pushed source segment is snapshotted into lineage here, once;
+    /// each operator snapshots only the segments it emits. Produced
+    /// segments live in one arena; the work queue and fan-out edges carry
+    /// indices into it, so a segment consumed by several operators (or kept
+    /// as a result *and* consumed downstream) is never cloned.
     pub fn push_traced(&mut self, source: usize, seg: &Segment, tr: &mut Tracer) -> Vec<Segment> {
         for n in &mut self.nodes {
             n.reset_slack();
         }
-        let mut produced: Vec<Segment> = Vec::new();
-        let mut is_result: Vec<bool> = Vec::new();
-        let mut queue: Vec<(usize, usize, usize)> =
-            self.source_edges[source].iter().map(|&(n, p)| (n, p, Self::SRC)).collect();
-        let mut scratch = Vec::new();
+        self.lineage.lock().register(seg);
+        let CPlan { nodes, node_edges, source_edges, sinks, arena, .. } = self;
+        let PushArena { produced, is_result, queue, out } = &mut **arena;
+        queue.extend(source_edges[source].iter().map(|&(n, p)| (n, p, Self::SRC)));
         while let Some((node, port, idx)) = queue.pop() {
-            scratch.clear();
             let input = if idx == Self::SRC { seg } else { &produced[idx] };
-            self.nodes[node].process_traced(port, input, tr, &mut scratch);
-            for out in scratch.drain(..) {
+            nodes[node].process_traced(port, input, tr, out);
+            for o in out.drain(..) {
                 let oi = produced.len();
-                is_result.push(self.sinks[node]);
-                for &(n, p) in &self.node_edges[node] {
+                is_result.push(sinks[node]);
+                for &(n, p) in &node_edges[node] {
                     queue.push((n, p, oi));
                 }
-                produced.push(out);
+                produced.push(o);
             }
         }
-        produced.into_iter().zip(is_result).filter_map(|(s, r)| r.then_some(s)).collect()
+        produced.drain(..).zip(is_result.drain(..)).filter_map(|(s, r)| r.then_some(s)).collect()
     }
 
     /// Pushes a batch of segments (time-ordered per source).

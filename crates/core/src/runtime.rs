@@ -10,7 +10,7 @@
 use crate::audit::ShadowAuditor;
 use crate::plan::{CPlan, TransformError};
 use crate::validate::{
-    Bound, BoundInverter, EquiSplit, GradientSplit, SplitHeuristic, VKey, Validator,
+    Bound, BoundInverter, EquiSplit, GradientSplit, InvertScratch, SplitHeuristic, VKey, Validator,
 };
 use pulse_math::{Poly, Span};
 use pulse_model::{Schema, Segment, SegmentId, StreamModel, Tuple};
@@ -203,7 +203,10 @@ pub struct PulseRuntime {
     /// inverted allocations land on the stream that owns each segment.
     seg_owner: HashMap<SegmentId, VKey>,
     validator: Validator,
-    /// Inverted per-source-segment bounds from the last results.
+    /// Bound-inversion buffers, reused by every violation.
+    invert: InvertScratch,
+    /// Tightest inverted bound per validator key, being assembled.
+    key_bounds: HashMap<VKey, Bound>,
     stats: RuntimeStats,
     /// Input watermark: max tuple timestamp ingested (stream time).
     watermark: f64,
@@ -261,6 +264,8 @@ impl PulseRuntime {
             predicted: HashMap::new(),
             seg_owner: HashMap::new(),
             validator: Validator::new(),
+            invert: InvertScratch::default(),
+            key_bounds: HashMap::new(),
             stats: RuntimeStats::default(),
             watermark: f64::NEG_INFINITY,
             obs: RuntimeObs::new(),
@@ -278,22 +283,29 @@ impl PulseRuntime {
             Predictor::Clause(sm) => sm.segment_for(tuple, self.cfg.horizon).ok(),
             Predictor::AdaptiveLinear(_) => {
                 let modeled = &self.modeled[source];
-                let vals: Vec<f64> = modeled.iter().map(|&a| tuple.values[a]).collect();
-                let anchor = self.anchors.insert((source, tuple.key), (tuple.ts, vals.clone()));
+                // The slope runs from the previous anchor, which this
+                // observation then overwrites in place.
+                let mut fresh = false;
+                let (ats, avs) = self.anchors.entry((source, tuple.key)).or_insert_with(|| {
+                    fresh = true;
+                    (tuple.ts, Vec::with_capacity(modeled.len()))
+                });
                 let models = modeled
                     .iter()
-                    .zip(&vals)
                     .enumerate()
-                    .map(|(slot, (_, &v))| {
-                        let slope = match &anchor {
-                            Some((ats, avs)) if tuple.ts - ats > 1e-9 => {
-                                (v - avs[slot]) / (tuple.ts - ats)
-                            }
-                            _ => 0.0,
+                    .map(|(slot, &a)| {
+                        let v = tuple.values[a];
+                        let slope = if !fresh && tuple.ts - *ats > 1e-9 {
+                            (v - avs[slot]) / (tuple.ts - *ats)
+                        } else {
+                            0.0
                         };
                         Poly::linear(v - slope * tuple.ts, slope)
                     })
                     .collect();
+                *ats = tuple.ts;
+                avs.clear();
+                avs.extend(modeled.iter().map(|&a| tuple.values[a]));
                 let unmodeled = self.unmodeled[source].iter().map(|&a| tuple.values[a]).collect();
                 Some(Segment {
                     id: SegmentId::fresh(),
@@ -697,20 +709,21 @@ impl PulseRuntime {
     /// segment's allocation on the stream key that owns it (the split
     /// heuristics exist exactly to differentiate these shares, §IV-C).
     fn install_bounds(&mut self, outs: &[Segment], trigger_vkey: VKey) {
-        let store = self.plan.lineage().lock();
+        let PulseRuntime { plan, cfg, seg_owner, validator, invert, key_bounds, .. } = self;
+        let store = plan.lineage().lock();
         let equi = EquiSplit;
         let grad = GradientSplit;
-        let heuristic: &dyn SplitHeuristic = match self.cfg.heuristic {
+        let heuristic: &dyn SplitHeuristic = match cfg.heuristic {
             Heuristic::Equi => &equi,
             Heuristic::Gradient => &grad,
         };
         let inverter = BoundInverter::new(&store, heuristic, 1);
         // Tightest allocation per owning validator key.
-        let mut per_key: HashMap<VKey, Bound> = HashMap::new();
         for out in outs {
-            for (sid, b) in inverter.invert(out.id, Bound::symmetric(self.cfg.bound)) {
-                let Some(&vk) = self.seg_owner.get(&sid) else { continue };
-                per_key
+            inverter.invert_into(out.id, Bound::symmetric(cfg.bound), invert);
+            for (sid, &b) in &invert.result {
+                let Some(&vk) = seg_owner.get(sid) else { continue };
+                key_bounds
                     .entry(vk)
                     .and_modify(|t| {
                         t.below = t.below.min(b.below);
@@ -722,9 +735,9 @@ impl PulseRuntime {
         drop(store);
         // The triggering key always leaves with a fresh accuracy bound,
         // even if lineage didn't surface its segment (capped fan-in).
-        per_key.entry(trigger_vkey).or_insert_with(|| Bound::symmetric(self.cfg.bound));
-        for (vk, b) in per_key {
-            self.validator.set_accuracy(vk, b);
+        key_bounds.entry(trigger_vkey).or_insert_with(|| Bound::symmetric(cfg.bound));
+        for (vk, b) in key_bounds.drain() {
+            validator.set_accuracy(vk, b);
         }
     }
 

@@ -47,15 +47,30 @@ impl Bound {
 /// the input segments that caused the output. Implementations must be
 /// conservative — allocated input ranges may not exceed the output range.
 pub trait SplitHeuristic {
+    /// Appends one `(input id, bound)` share per input to `out`.
     /// `dep_count` is `|D(o)| = |translations ∪ inferences|` for the
     /// operator being inverted.
+    fn split_into(
+        &self,
+        output: &Segment,
+        bound: Bound,
+        inputs: &[&Segment],
+        dep_count: usize,
+        out: &mut Vec<(SegmentId, Bound)>,
+    );
+
+    /// [`Self::split_into`] into a fresh vector.
     fn split(
         &self,
         output: &Segment,
         bound: Bound,
         inputs: &[&Segment],
         dep_count: usize,
-    ) -> Vec<(SegmentId, Bound)>;
+    ) -> Vec<(SegmentId, Bound)> {
+        let mut out = Vec::with_capacity(inputs.len());
+        self.split_into(output, bound, inputs, dep_count, &mut out);
+        out
+    }
 }
 
 /// Equi-split: uniform allocation `[oˡ/n, oᵘ/n]` across every contributing
@@ -64,15 +79,16 @@ pub trait SplitHeuristic {
 pub struct EquiSplit;
 
 impl SplitHeuristic for EquiSplit {
-    fn split(
+    fn split_into(
         &self,
         _output: &Segment,
         bound: Bound,
         inputs: &[&Segment],
         dep_count: usize,
-    ) -> Vec<(SegmentId, Bound)> {
+        out: &mut Vec<(SegmentId, Bound)>,
+    ) {
         let n = (inputs.len() * dep_count.max(1)).max(1) as f64;
-        inputs.iter().map(|s| (s.id, bound.scale(1.0 / n))).collect()
+        out.extend(inputs.iter().map(|s| (s.id, bound.scale(1.0 / n))));
     }
 }
 
@@ -83,13 +99,14 @@ impl SplitHeuristic for EquiSplit {
 pub struct GradientSplit;
 
 impl SplitHeuristic for GradientSplit {
-    fn split(
+    fn split_into(
         &self,
         output: &Segment,
         bound: Bound,
         inputs: &[&Segment],
         dep_count: usize,
-    ) -> Vec<(SegmentId, Bound)> {
+        out: &mut Vec<(SegmentId, Bound)>,
+    ) {
         let mid = output.span.mid();
         let weights: Vec<f64> = inputs
             .iter()
@@ -97,11 +114,19 @@ impl SplitHeuristic for GradientSplit {
             .collect();
         let total: f64 = weights.iter().sum();
         if total < EPS {
-            return EquiSplit.split(output, bound, inputs, dep_count);
+            return EquiSplit.split_into(output, bound, inputs, dep_count, out);
         }
         let d = dep_count.max(1) as f64;
-        inputs.iter().zip(&weights).map(|(s, w)| (s.id, bound.scale(w / total / d))).collect()
+        out.extend(inputs.iter().zip(&weights).map(|(s, w)| (s.id, bound.scale(w / total / d))));
     }
+}
+
+/// Buffers [`BoundInverter::invert_into`] reuses from call to call.
+#[derive(Debug, Default)]
+pub(crate) struct InvertScratch {
+    frontier: Vec<(SegmentId, Bound)>,
+    /// Bounds at the source segments, from the latest inversion.
+    pub(crate) result: HashMap<SegmentId, Bound>,
 }
 
 /// Walks lineage from an output segment down to source segments, splitting
@@ -128,8 +153,18 @@ impl<'a> BoundInverter<'a> {
     /// A source reached along several paths keeps its tightest allocation
     /// (conservative).
     pub fn invert(&self, output: SegmentId, bound: Bound) -> HashMap<SegmentId, Bound> {
-        let mut result: HashMap<SegmentId, Bound> = HashMap::new();
-        let mut frontier = vec![(output, bound)];
+        let mut scratch = InvertScratch::default();
+        self.invert_into(output, bound, &mut scratch);
+        scratch.result
+    }
+
+    /// [`Self::invert`] into `scratch.result`, reusing the scratch buffers.
+    pub(crate) fn invert_into(&self, output: SegmentId, bound: Bound, scratch: &mut InvertScratch) {
+        let InvertScratch { frontier, result } = scratch;
+        result.clear();
+        frontier.clear();
+        frontier.push((output, bound));
+        let mut inputs: Vec<&Segment> = Vec::new();
         while let Some((id, b)) = frontier.pop() {
             let parents = self.store.parents_of(id);
             if parents.is_empty() {
@@ -143,16 +178,14 @@ impl<'a> BoundInverter<'a> {
                 continue;
             }
             let Some(out_seg) = self.store.segment(id) else { continue };
-            let inputs: Vec<&Segment> =
-                parents.iter().filter_map(|p| self.store.segment(*p)).collect();
+            inputs.clear();
+            inputs.extend(parents.iter().filter_map(|p| self.store.segment(*p)));
             if inputs.is_empty() {
                 continue;
             }
-            for (pid, pb) in self.heuristic.split(out_seg, b, &inputs, self.dep_count) {
-                frontier.push((pid, pb));
-            }
+            // The shares go straight onto the stack, in split order.
+            self.heuristic.split_into(out_seg, b, &inputs, self.dep_count, frontier);
         }
-        result
     }
 }
 

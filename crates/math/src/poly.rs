@@ -170,6 +170,76 @@ impl Poly {
         self.trim();
     }
 
+    /// In-place `self + k`; bit-identical to `self.add(&Poly::constant(k))`
+    /// (a `k` below the trim threshold adds as zero, as the trimmed
+    /// constant would).
+    pub fn add_const_assign(&mut self, k: f64) {
+        let k = if k.abs() < COEFF_EPS { 0.0 } else { k };
+        if self.c.is_empty() && k != 0.0 {
+            self.c.push(0.0);
+        }
+        // `+ 0` turns a −0 coefficient into +0, as `add` does.
+        for (i, slot) in self.c.iter_mut().enumerate() {
+            *slot += if i == 0 { k } else { 0.0 };
+        }
+        self.trim();
+    }
+
+    /// In-place `self − k`; bit-identical to `self.sub(&Poly::constant(k))`.
+    pub fn sub_const_assign(&mut self, k: f64) {
+        let k = if k.abs() < COEFF_EPS { 0.0 } else { k };
+        if self.c.is_empty() && k != 0.0 {
+            self.c.push(0.0);
+        }
+        // `x − 0` is `x` bit for bit, so only the constant term changes.
+        if let Some(c0) = self.c.first_mut() {
+            *c0 -= k;
+        }
+        self.trim();
+    }
+
+    /// Writes `self.compose_linear(a, b)` into `out`, reusing its
+    /// allocation. Each Horner step multiplies by the linear inner
+    /// polynomial in place, adding the products in the order
+    /// [`Poly::mul`] does, then adds the coefficient as
+    /// [`Self::add_const_assign`]; coefficients are bit-identical.
+    pub fn compose_linear_into(&self, a: f64, b: f64, out: &mut Poly) {
+        // The inner polynomial `b + a·t`, trimmed as `Poly::linear` trims.
+        let inner_len = if a.abs() >= COEFF_EPS || a.is_nan() {
+            2
+        } else if b.abs() >= COEFF_EPS || b.is_nan() {
+            1
+        } else {
+            0
+        };
+        out.c.clear();
+        for &c in self.c.iter().rev() {
+            match inner_len {
+                // `acc · 0` is the zero polynomial.
+                0 => out.c.clear(),
+                1 => {
+                    for x in &mut out.c {
+                        *x = 0.0 + *x * b;
+                    }
+                    out.trim();
+                }
+                _ if !out.c.is_empty() => {
+                    // Descending, so `out[k−1]` is still the old value when
+                    // `out[k]` is formed: new[k] = (0 + old[k−1]·a) + old[k]·b.
+                    let n = out.c.len();
+                    out.c.push(0.0 + out.c[n - 1] * a);
+                    for k in (1..n).rev() {
+                        out.c[k] = (0.0 + out.c[k - 1] * a) + out.c[k] * b;
+                    }
+                    out.c[0] = 0.0 + out.c[0] * b;
+                    out.trim();
+                }
+                _ => {}
+            }
+            out.add_const_assign(c);
+        }
+    }
+
     /// In-place negation; bit-identical to `self.neg()`.
     pub fn neg_assign(&mut self) {
         for c in &mut self.c {
@@ -500,6 +570,35 @@ mod tests {
         k.set_constant(0.0);
         assert_eq!(k, Poly::constant(0.0));
         assert!(k.is_zero());
+    }
+
+    #[test]
+    fn window_kernels_match_allocating_ops_bit_for_bit() {
+        let bits = |q: &Poly| q.coeffs().iter().map(|c| c.to_bits()).collect::<Vec<_>>();
+        let polys = [
+            Poly::zero(),
+            p(&[5e-13]), // trims to zero
+            p(&[-0.0, 1.0]),
+            p(&[2.0, -0.0, 1e-13, 3.0]),
+            p(&[1.5, -2.0, 0.25, 4.0, -1.0]),
+            p(&[0.0, 0.0, 0.0, 0.0, 7.0]),
+        ];
+        let consts = [0.0, -0.0, 5e-13, -5e-13, 1e-12, 2.5, -7.0];
+        for q in &polys {
+            for &(a, b) in &[(1.0, -2.0), (1.0, 0.0), (1e-13, 3.0), (0.0, 1e-13), (-0.5, -0.0)] {
+                let mut out = p(&[9.0, 9.0, 9.0]);
+                q.compose_linear_into(a, b, &mut out);
+                assert_eq!(bits(&out), bits(&q.compose_linear(a, b)), "{q:?} a={a} b={b}");
+            }
+            for &k in &consts {
+                let mut x = q.clone();
+                x.add_const_assign(k);
+                assert_eq!(bits(&x), bits(&q.add(&Poly::constant(k))), "{q:?} + {k}");
+                let mut x = q.clone();
+                x.sub_const_assign(k);
+                assert_eq!(bits(&x), bits(&q.sub(&Poly::constant(k))), "{q:?} - {k}");
+            }
+        }
     }
 
     #[test]

@@ -303,7 +303,7 @@ impl StreamFitter {
     /// Flushes every per-key window.
     pub fn finish(&mut self) -> Vec<Segment> {
         let mut out: Vec<Segment> = self.fitters.values_mut().filter_map(|f| f.flush()).collect();
-        out.sort_by(|a, b| a.span.lo.partial_cmp(&b.span.lo).unwrap());
+        out.sort_by(|a, b| a.span.lo.total_cmp(&b.span.lo));
         out
     }
 

@@ -23,6 +23,28 @@ fn arb_spans() -> impl Strategy<Value = Vec<Span>> {
         .prop_map(|v| v.into_iter().map(|(lo, len)| Span::new(lo, lo + len)).collect())
 }
 
+/// A coefficient drawn to hit the trim edge cases as often as ordinary
+/// values: exact zero, negative zero and magnitudes below the trim
+/// threshold (1e-12) each come up about one draw in eight.
+fn arb_coeff() -> impl Strategy<Value = f64> {
+    (0usize..8, -8.0..8.0_f64).prop_map(|(kind, x)| match kind {
+        0 => 0.0,
+        1 => -0.0,
+        2 => x * 1e-13,
+        _ => x,
+    })
+}
+
+/// Polynomials of degree 0–4 plus the zero polynomial, with interior
+/// zeros, negative zeros and sub-threshold coefficients.
+fn arb_poly() -> impl Strategy<Value = Poly> {
+    prop::collection::vec(arb_coeff(), 0..6).prop_map(Poly::new)
+}
+
+fn bits(p: &Poly) -> Vec<u64> {
+    p.coeffs().iter().map(|c| c.to_bits()).collect()
+}
+
 const DOMAIN: Span = Span { lo: -5.0, hi: 105.0 };
 
 /// Membership probes stay clear of span endpoints, where half-open
@@ -157,5 +179,29 @@ proptest! {
         let lhs = a.measure() + b.measure();
         let rhs = a.union(&b).measure() + a.intersect(&b).measure();
         prop_assert!((lhs - rhs).abs() < 1e-6, "{} vs {}", lhs, rhs);
+    }
+
+    /// The in-place window-function kernels reproduce the allocating
+    /// operations bit for bit, trims and signed zeros included, whatever
+    /// the destination held before.
+    #[test]
+    fn in_place_kernels_are_bit_exact(
+        p in arb_poly(),
+        stale in arb_poly(),
+        a in arb_coeff(),
+        b in arb_coeff(),
+        k in arb_coeff(),
+    ) {
+        for (a, b) in [(1.0, b), (a, b), (1.0, -3.5)] {
+            let mut out = stale.clone();
+            p.compose_linear_into(a, b, &mut out);
+            prop_assert_eq!(bits(&out), bits(&p.compose_linear(a, b)));
+        }
+        let mut x = p.clone();
+        x.add_const_assign(k);
+        prop_assert_eq!(bits(&x), bits(&p.add(&Poly::constant(k))));
+        let mut x = p.clone();
+        x.sub_const_assign(k);
+        prop_assert_eq!(bits(&x), bits(&p.sub(&Poly::constant(k))));
     }
 }
